@@ -89,7 +89,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for {name}: {param.data.shape} vs "
                     f"{state[name].shape}")
-            param.data = state[name].astype(np.float32).copy()
+            param.data[...] = state[name]
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

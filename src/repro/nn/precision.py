@@ -26,6 +26,68 @@ def to_fp16(array: np.ndarray) -> np.ndarray:
     return np.asarray(array, dtype=np.float32).astype(np.float16)
 
 
+#: Elements rounded per pass; bounds :func:`round_to_fp16`'s scratch.
+_ROUND_CHUNK = 1 << 16
+#: float32 bit patterns with the sign shifted out (``bits << 1``):
+#: below ``_SUBNORMAL_LIMIT`` is |x| < 2**-14, the fp16-subnormal range;
+#: from ``_OVERFLOW_LIMIT`` up is |x| >= 65520, inf and NaN.
+_SUBNORMAL_LIMIT = np.uint32(0x38800000 << 1)
+_OVERFLOW_LIMIT = np.uint32(0x477FF000 << 1)
+_ROUND_MASK = np.uint32(0xFFFFE000)
+_HALF = np.float32(0.5)
+
+
+def round_to_fp16(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Round float32 values to the nearest fp16 value, kept as float32.
+
+    Bit-equal to ``to_fp16(src).astype(np.float32)`` for every float32
+    input, without the fp16 round trip.  fp16-normal values round to
+    nearest-even on the float32 bits: add ``0xFFF`` plus the lowest kept
+    mantissa bit, then clear the 13 dropped bits.  fp16 subnormals
+    (|x| < 2**-14) round through ``(|x| + 0.5) - 0.5``, whose float32
+    ulp of 2**-24 is the fp16 subnormal spacing.  |x| >= 65520, inf and
+    NaN go through the numpy cast.  The result is written into ``out``
+    (C-contiguous, same shape; may be ``src`` itself) in chunks, so
+    scratch memory never exceeds one chunk.
+    """
+    src = np.asarray(src, dtype=np.float32)
+    if out.dtype != np.float32 or not out.flags.c_contiguous \
+            or out.shape != src.shape:
+        raise ValueError("out must be a C-contiguous float32 array of "
+                         f"shape {src.shape}")
+    np.copyto(out, src)
+    values = out.reshape(-1)
+    bits = values.view(np.uint32)
+    size = min(values.size, _ROUND_CHUNK)
+    scratch = np.empty(size, dtype=np.uint32)
+    flags = np.empty(size, dtype=bool)
+    for lo in range(0, values.size, _ROUND_CHUNK):
+        hi = min(lo + _ROUND_CHUNK, values.size)
+        chunk, word = values[lo:hi], bits[lo:hi]
+        tmp, flag = scratch[:hi - lo], flags[:hi - lo]
+        np.left_shift(word, 1, out=tmp)
+        subnormal = overflow = None
+        if np.less(tmp, _SUBNORMAL_LIMIT, out=flag).any():
+            subnormal = np.flatnonzero(flag)
+            sub_values = chunk[subnormal]
+        if tmp.max() >= _OVERFLOW_LIMIT:
+            overflow = np.flatnonzero(tmp >= _OVERFLOW_LIMIT)
+            big_values = from_fp16(to_fp16(chunk[overflow]))
+        np.right_shift(word, 13, out=tmp)
+        np.bitwise_and(tmp, 1, out=tmp)
+        tmp += np.uint32(0xFFF)
+        word += tmp
+        word &= _ROUND_MASK
+        if subnormal is not None:
+            magnitude = np.abs(sub_values)
+            magnitude += _HALF
+            magnitude -= _HALF
+            chunk[subnormal] = np.copysign(magnitude, sub_values)
+        if overflow is not None:
+            chunk[overflow] = big_values
+    return out
+
+
 def from_fp16(array: np.ndarray) -> np.ndarray:
     """Promote an FP16 array back to FP32."""
     return np.asarray(array, dtype=np.float16).astype(np.float32)

@@ -130,7 +130,7 @@ class ModuleOptimizer:
             flat = param.data.reshape(-1).astype(np.float32)
             grad = param.grad.reshape(-1).astype(np.float32)
             self.optimizer.step(flat, grad, self._state[name], self._step)
-            param.data = flat.reshape(param.data.shape)
+            param.data[...] = flat.reshape(param.data.shape)
 
     def zero_grad(self) -> None:
         self.module.zero_grad()

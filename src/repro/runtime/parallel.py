@@ -8,8 +8,8 @@ but the host-side glue.  The functional engines have the same property:
   FPGA-DRAM buffers, a private transfer handler and error-feedback
   residual — no two devices ever touch the same bytes;
 * the only cross-device state is the :class:`~repro.runtime.partition.
-  FlatParameterSpace` (upstream installs land in disjoint flat ranges,
-  serialized by its writer lock), the
+  FlatParameterSpace` (upstream installs write disjoint flat ranges of
+  its one buffer in place, so they need no lock), the
   :class:`~repro.runtime.stats.TrafficMeter` (lock-protected counters),
   and telemetry (thread-safe by construction).
 

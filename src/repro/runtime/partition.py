@@ -9,7 +9,6 @@ property this module preserves and the tests assert.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from ..errors import PartitionError
 from ..nn.modules import Module
-from ..nn.precision import to_fp16
+from ..nn.precision import round_to_fp16
 
 
 @dataclass(frozen=True)
@@ -41,18 +40,18 @@ class FlatParameterSpace:
     order; offsets are contiguous with no padding, so every element of the
     flat vector maps to exactly one model parameter element.
 
-    Writers are funneled through one lock: concurrent per-CSD update
-    workers install their updated subgroups into *disjoint* flat ranges,
-    but a range can straddle a parameter tensor whose storage both
-    writers touch, and :meth:`scatter_slice` re-binds ``param.data`` —
-    the lock makes each install atomic so no writer can observe (or
-    clobber) a half-installed neighbour.  Reads (`gather_*`) happen only
-    between fan-outs, on the coordinating thread.
+    The space owns that vector as :attr:`flat`, and every parameter's
+    ``data`` is a reshaped view of its slot, so writing a flat range
+    updates the module in place.  Construction is the only place that
+    re-binds ``param.data``; a later re-binding would silently detach
+    the module from the buffer the engines install into.  Concurrent per-CSD update workers
+    install into *disjoint* flat ranges of :attr:`flat` and never re-bind
+    ``param.data``, so they need no lock.  Reads (``gather_*``) happen
+    only between fan-outs, on the coordinating thread.
     """
 
     def __init__(self, module: Module) -> None:
         self.module = module
-        self._write_lock = threading.Lock()
         self.slots: List[ParamSlot] = []
         offset = 0
         for name, param in module.named_parameters():
@@ -65,6 +64,12 @@ class FlatParameterSpace:
         self.total_elements = offset
         self._by_name: Dict[str, ParamSlot] = {
             slot.name: slot for slot in self.slots}
+        self.flat = np.empty(offset, dtype=np.float32)
+        for slot, (_name, param) in zip(self.slots,
+                                        module.named_parameters()):
+            view = self.flat[slot.offset:slot.end].reshape(slot.shape)
+            np.copyto(view, param.data)
+            param.data = view
 
     def slot(self, name: str) -> ParamSlot:
         try:
@@ -76,45 +81,17 @@ class FlatParameterSpace:
     # gather / scatter
     # ------------------------------------------------------------------
     def gather_params(self) -> np.ndarray:
-        """Current module parameters as one flat float32 vector."""
-        flat = np.empty(self.total_elements, dtype=np.float32)
-        for slot, (_name, param) in zip(self.slots,
-                                        self.module.named_parameters()):
-            flat[slot.offset:slot.end] = param.data.reshape(-1)
-        return flat
+        """Current module parameters as one flat float32 vector (a copy)."""
+        return self.flat.copy()
 
     def scatter_params(self, flat: np.ndarray) -> None:
         """Write a flat vector back into the module's parameters."""
         self._check_flat(flat)
-        with self._write_lock:
-            for slot, (_name, param) in zip(self.slots,
-                                            self.module.named_parameters()):
-                param.data = flat[slot.offset:slot.end].reshape(
-                    slot.shape).astype(np.float32)
+        np.copyto(self.flat, flat)
 
     def scatter_slice(self, start: int, values: np.ndarray) -> None:
-        """Write ``values`` into flat range [start, start+len) of the module.
-
-        Used by the runtime to install updated parameters subgroup by
-        subgroup as their urgent write-backs complete, without waiting for
-        the whole model.
-        """
-        end = start + values.size
-        if start < 0 or end > self.total_elements:
-            raise PartitionError(
-                f"slice [{start}, {end}) outside flat space of "
-                f"{self.total_elements}")
-        with self._write_lock:
-            for slot, (_name, param) in zip(self.slots,
-                                            self.module.named_parameters()):
-                lo = max(start, slot.offset)
-                hi = min(end, slot.end)
-                if lo >= hi:
-                    continue
-                flat_view = param.data.reshape(-1)
-                flat_view[lo - slot.offset:hi - slot.offset] = (
-                    values[lo - start:hi - start])
-                param.data = flat_view.reshape(slot.shape)
+        """Write ``values`` into flat range [start, start+len) of the module."""
+        self.flat[self._range(start, values.size)] = values
 
     def gather_grads(self) -> np.ndarray:
         """Accumulated gradients as one flat float32 vector (zeros where a
@@ -131,16 +108,24 @@ class FlatParameterSpace:
 
         Mixed-precision semantics: the module computes forward/backward on
         parameters quantized through FP16, while ``masters`` stay FP32 in
-        the optimizer state.
+        the optimizer state.  Rounding runs chunk by chunk straight into
+        :attr:`flat`, so no model-sized temporary is built.
         """
         self._check_flat(masters)
-        working = to_fp16(masters).astype(np.float32)
-        self.scatter_params(working)
+        round_to_fp16(masters, out=self.flat)
 
     def install_fp16_slice(self, start: int, masters: np.ndarray) -> None:
         """FP16-quantize and install one flat slice of master parameters."""
-        working = to_fp16(masters).astype(np.float32)
-        self.scatter_slice(start, working)
+        round_to_fp16(masters, out=self.flat[self._range(start,
+                                                         masters.size)])
+
+    def _range(self, start: int, count: int) -> slice:
+        end = start + count
+        if start < 0 or end > self.total_elements:
+            raise PartitionError(
+                f"slice [{start}, {end}) outside flat space of "
+                f"{self.total_elements}")
+        return slice(start, end)
 
     def _check_flat(self, flat: np.ndarray) -> None:
         if flat.ndim != 1 or flat.size != self.total_elements:

@@ -43,6 +43,25 @@ def check_gradient(build_output, array, rtol=1e-2, atol=1e-3):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true", default=False,
+                     help="also run tests marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: minutes-long test, skipped unless --runslow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --runslow")
+    for item in items:
+        if item.get_closest_marker("slow") is not None:
+            item.add_marker(skip)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
