@@ -1,24 +1,15 @@
 """The canonical public API surface: one factory, one config, one runner.
 
-Historically each engine had its own constructor signature —
-``BaselineOffloadEngine(..., num_ssds=...)``,
-``SmartInfinityEngine(..., num_csds=...)``,
-``HostOffloadEngine(..., host_memory_bytes=...)`` — and callers imported
-three classes to switch between them.  :func:`create_engine` replaces all
-of that with a mode string plus one :class:`~repro.runtime.engine.
-TrainingConfig`: fleet geometry (``num_csds``, ``raid_members``,
-``raid_chunk_bytes``, ``host_memory_bytes``) and the fault plan are
-config fields, so the whole engine setup round-trips through a JSON
-config file.
+One factory builds every engine from a mode string plus one
+:class:`~repro.runtime.engine.TrainingConfig`: fleet geometry
+(``num_csds``, ``raid_members``, ``raid_chunk_bytes``,
+``host_memory_bytes``) and the fault plan are config fields, so the whole
+engine setup round-trips through a JSON config file.
 
     from repro.api import create_engine
 
     engine = create_engine("smart", model, loss_fn, "/data/run0",
                            config=TrainingConfig(num_csds=4))
-
-The old per-engine ctor kwargs completed their deprecation cycle and now
-raise :class:`~repro.errors.TrainingError` with the exact
-``create_engine`` migration in the message.
 
 Beyond the factory, this module re-exports the rest of the supported
 surface so one import site covers configuration (:class:`TrainingConfig`),

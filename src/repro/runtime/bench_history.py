@@ -25,7 +25,7 @@ import os
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Schema marker of the history document.
 HISTORY_SCHEMA = "smart-infinity/bench-history/v1"
@@ -87,13 +87,9 @@ def entry_from_report(report: Dict[str, object],
 def load_history(path: str) -> Dict[str, object]:
     """Load (or initialize) a history document.
 
-    A legacy single-report file (PR 2's ``BENCH_parallel.json`` format,
-    recognizable by its top-level ``runs`` list) is migrated in place
-    into a one-entry history, so existing committed results seed the
-    trajectory instead of being clobbered.  Entries carrying the old
-    ``timestamp: 0.0`` placeholder (the epoch, i.e. obviously wrong) are
-    re-stamped from the history file's mtime — the best available bound
-    on when that run actually happened.
+    Entries carrying the old ``timestamp: 0.0`` placeholder (the epoch,
+    i.e. obviously wrong) are re-stamped from the history file's mtime —
+    the best available bound on when that run actually happened.
     """
     if not os.path.exists(path):
         return {"schema": HISTORY_SCHEMA, "entries": []}
@@ -102,10 +98,6 @@ def load_history(path: str) -> Dict[str, object]:
     if "entries" in document:
         _repair_timestamps(document, path)
         return document
-    if "runs" in document:  # legacy single report
-        return {"schema": HISTORY_SCHEMA,
-                "entries": [entry_from_report(
-                    document, timestamp=os.path.getmtime(path))]}
     return {"schema": HISTORY_SCHEMA, "entries": []}
 
 

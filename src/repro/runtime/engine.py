@@ -205,35 +205,6 @@ class TrainingConfig:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
 
 
-#: create_engine mode string per engine class, for migration hints.
-_ENGINE_MODES_BY_CLASS = {
-    "BaselineOffloadEngine": "baseline",
-    "HostOffloadEngine": "host_offload",
-    "SmartInfinityEngine": "smart",
-}
-
-
-def fold_deprecated_kwarg(config: TrainingConfig, kwarg: str, value,
-                          field_name: str, engine: str) -> TrainingConfig:
-    """Reject a removed constructor kwarg with a migration hint.
-
-    The engines' fleet-geometry kwargs (``num_ssds``, ``num_csds``,
-    ``host_memory_bytes``) moved into :class:`TrainingConfig` so the
-    :func:`repro.api.create_engine` factory can build any engine from a
-    mode string plus one config object.  The old signatures went through
-    a DeprecationWarning cycle and are now hard errors: the message
-    names the exact ``create_engine`` call to write instead.
-    """
-    if value is None:
-        return config
-    mode = _ENGINE_MODES_BY_CLASS.get(engine, "<mode>")
-    raise TrainingError(
-        f"{engine}({kwarg}=...) was removed; set "
-        f"TrainingConfig(..., {field_name}={value!r}) and build the "
-        f"engine via repro.api.create_engine({mode!r}, model, loss_fn, "
-        f"storage_dir, config=config)")
-
-
 def make_fault_injector(config: TrainingConfig) -> Optional["FaultInjector"]:
     """The engine-side fault injector, or None when no plan is set."""
     if config.fault_plan is None:
@@ -590,25 +561,22 @@ class BaselineOffloadEngine(MixedPrecisionTrainer):
     """ZeRO-Infinity-style baseline: RAID0 storage + CPU update."""
 
     def __init__(self, model: Module, loss_fn: LossFn, storage_dir: str,
-                 num_ssds: Optional[int] = None,
                  config: Optional[TrainingConfig] = None) -> None:
-        config = fold_deprecated_kwarg(
-            config or TrainingConfig(), "num_ssds", num_ssds,
-            "raid_members", "BaselineOffloadEngine")
-        super().__init__(model, loss_fn, config)
+        super().__init__(model, loss_fn, config or TrainingConfig())
+        config = self.config
         num_ssds = config.raid_members
-        if num_ssds < 1:
-            raise TrainingError("need at least one SSD")
-        # The baseline's update loop is inherently sequential, but the
-        # knob is still validated here so a typo'd backend fails loudly
-        # on every engine, not just the parallel ones.
-        from .parallel import resolve_backend
-        resolve_backend(config.parallel_backend, 1)
-        os.makedirs(storage_dir, exist_ok=True)
         self.faults = make_fault_injector(config)
         self._closed = False
         self.volume: Optional[RAID0Volume] = None
         try:
+            if num_ssds < 1:
+                raise TrainingError("need at least one SSD")
+            # The baseline's update loop is inherently sequential, but
+            # the knob is still validated here so a typo'd backend fails
+            # loudly on every engine, not just the parallel ones.
+            from .parallel import resolve_backend
+            resolve_backend(config.parallel_backend, 1)
+            os.makedirs(storage_dir, exist_ok=True)
             self._init_activation_offload(storage_dir)
         except BaseException:
             self._teardown_flight()

@@ -21,7 +21,7 @@ assert — the whole engine family computes one trajectory.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -38,36 +38,52 @@ from .parallel import (CSDWorkerPool, ProcessCSDWorkerPool,
 from .stats import TrafficMeter
 
 
+def update_block(optimizer, masters: np.ndarray, grads: np.ndarray,
+                 states: Dict[str, np.ndarray], start: int, stop: int,
+                 step: int) -> None:
+    """Update the flat block ``[start, stop)`` of host-resident state in
+    place: the one host-CPU update body, run by inline blocks, by
+    worker-process blocks and by the smart engine's demoted shards."""
+    optimizer.step(masters[start:stop], grads[start:stop],
+                   {name: state[start:stop]
+                    for name, state in states.items()}, step)
+
+
 class HostOffloadEngine(MixedPrecisionTrainer):
     """ZeRO-Offload-style training: optimizer states in host memory."""
 
     def __init__(self, model: Module, loss_fn: LossFn,
-                 config: Optional[TrainingConfig] = None,
-                 host_memory_bytes: Optional[int] = None) -> None:
-        from .engine import fold_deprecated_kwarg
-        config = fold_deprecated_kwarg(
-            config or TrainingConfig(), "host_memory_bytes",
-            host_memory_bytes, "host_memory_bytes", "HostOffloadEngine")
-        super().__init__(model, loss_fn, config)
+                 config: Optional[TrainingConfig] = None) -> None:
+        super().__init__(model, loss_fn, config or TrainingConfig())
+        config = self.config
         self._closed = False
-        host_memory_bytes = config.host_memory_bytes
+        self._pool = None
+        self._arena: Optional[SharedMemoryArena] = None
+        self._interleave: Optional[InterleavedScheduler] = None
+        self._layout: Optional[dict] = None
+        self._grads_shm: Optional[np.ndarray] = None
+        try:
+            self._setup(config)
+        except BaseException:
+            # A failed __init__ must release the recorder, pool and
+            # shared memory already acquired — the caller never gets a
+            # handle to close.
+            self._release()
+            raise
+
+    def _setup(self, config: TrainingConfig) -> None:
         total = self.space.total_elements
         states_bytes = 4 * total * self.optimizer.states_per_param
-        if host_memory_bytes is not None and states_bytes > \
-                host_memory_bytes:
-            self._teardown_flight()
+        if config.host_memory_bytes is not None and states_bytes > \
+                config.host_memory_bytes:
             raise TrainingError(
                 f"optimizer states need {states_bytes} B but host memory "
-                f"is {host_memory_bytes} B — this is exactly the wall "
-                "storage-offloaded training exists to break")
+                f"is {config.host_memory_bytes} B — this is exactly the "
+                "wall storage-offloaded training exists to break")
         self.meter = TrafficMeter()
         # No storage directory here, so activation_offload=auto resolves
         # to recompute (and explicit spill is rejected loudly).
-        try:
-            self._init_activation_offload(None)
-        except BaseException:
-            self._teardown_flight()
-            raise
+        self._init_activation_offload(None)
         # Update blocks are the shard analogue here: disjoint flat
         # slices of host-resident state, so they fan out over the same
         # worker pool the CSD engine uses.
@@ -75,10 +91,6 @@ class HostOffloadEngine(MixedPrecisionTrainer):
         self.workers = resolve_workers(config.parallel_csds, num_blocks)
         self.backend = resolve_backend(config.parallel_backend,
                                        self.workers)
-        self._interleave: Optional[InterleavedScheduler] = None
-        self._arena: Optional[SharedMemoryArena] = None
-        self._layout: Optional[dict] = None
-        self._grads_shm: Optional[np.ndarray] = None
         if self.backend == "process":
             # Masters, moments and the per-step gradient vector live in
             # one shared-memory arena, so worker processes update their
@@ -98,8 +110,7 @@ class HostOffloadEngine(MixedPrecisionTrainer):
                 self._state[name] = view
             self._grads_shm = self._arena.acquire(total)
             regions = {"masters": self._masters, "grads": self._grads_shm,
-                       **{f"state:{name}": view
-                          for name, view in self._state.items()}}
+                       **self._state}
             self._layout = {
                 "segment": self._arena.segment.descriptor(),
                 "optimizer": config.optimizer,
@@ -164,10 +175,10 @@ class HostOffloadEngine(MixedPrecisionTrainer):
         """Block-wise CPU update over the host-resident states.
 
         Blocks touch disjoint slices of the masters/state/gradient
-        vectors and install disjoint flat ranges (serialized by the
-        parameter space's writer lock), so they run concurrently on the
-        worker pool — bit-identically to the sequential loop, since the
-        update is element-wise.
+        vectors and install disjoint flat ranges of the parameter
+        buffer in place (disjoint ranges need no lock), so they run
+        concurrently on the worker pool — bit-identically to the
+        sequential loop, since the update is element-wise.
 
         The fused optimizer stages its temporaries in each worker
         thread's private arena (:func:`repro.memory.thread_arena`), so a
@@ -179,20 +190,18 @@ class HostOffloadEngine(MixedPrecisionTrainer):
             self._cpu_update_process(flat_grads, total, size)
             return
 
-        def update_block(start: int) -> None:
+        def update_and_install(start: int) -> None:
             stop = min(start + size, total)
-            chunk_state = {name: buf[start:stop]
-                           for name, buf in self._state.items()}
-            self.optimizer.step(self._masters[start:stop],
-                                flat_grads[start:stop], chunk_state,
-                                self.step_count)
+            update_block(self.optimizer, self._masters, flat_grads,
+                         self._state, start, stop, self.step_count)
             self.space.install_fp16_slice(start,
                                           self._masters[start:stop])
 
         if self._interleave is not None:
-            self._interleave.run(update_block, range(0, total, size))
+            self._interleave.run(update_and_install, range(0, total, size))
         else:
-            self._pool.map_ordered(update_block, range(0, total, size))
+            self._pool.map_ordered(update_and_install,
+                                   range(0, total, size))
 
     def _cpu_update_process(self, flat_grads: np.ndarray, total: int,
                             size: int) -> None:
@@ -224,15 +233,20 @@ class HostOffloadEngine(MixedPrecisionTrainer):
         return [self._masters] + [self._state[name]
                                   for name in self.optimizer.state_names]
 
+    def _release(self) -> None:
+        """Release recorder, pool and arena (safe on partial state)."""
+        self._teardown_flight()
+        if self._pool is not None:
+            self._pool.close()
+        if self._arena is not None:
+            self._arena.close()
+
     def close(self) -> None:
         """Release the worker pool (no storage to close). Idempotent."""
         if self._closed:
             return
         self._closed = True
-        self._teardown_flight()
-        self._pool.close()
-        if self._arena is not None:
-            self._arena.close()
+        self._release()
 
     def __enter__(self) -> "HostOffloadEngine":
         return self

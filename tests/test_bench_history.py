@@ -59,20 +59,6 @@ def test_load_history_missing_file_initializes(tmp_path):
     assert history == {"schema": HISTORY_SCHEMA, "entries": []}
 
 
-def test_load_history_migrates_legacy_single_report(tmp_path):
-    # PR 2's BENCH_parallel.json format: a bare report, no "entries".
-    path = tmp_path / "BENCH_parallel.json"
-    path.write_text(json.dumps(fake_report({"1x1": 12.0, "2x2": 18.0})))
-    history = load_history(str(path))
-    assert history["schema"] == HISTORY_SCHEMA
-    assert len(history["entries"]) == 1
-    entry = history["entries"][0]
-    # The migrated entry is stamped from the file's mtime — the best
-    # bound on when the legacy run happened — never the 0.0 placeholder.
-    assert entry["timestamp"] == pytest.approx(path.stat().st_mtime)
-    assert entry["configs"] == {"1x1": 12.0, "2x2": 18.0}
-
-
 def test_load_history_repairs_zero_timestamps(tmp_path):
     # Histories written before the mtime repair carry timestamp: 0.0
     # seed entries; loading stamps them from the file's mtime in place.

@@ -24,7 +24,7 @@ from repro.errors import (DeviceFailedError, FaultInjectionError,
 from repro.faults import FaultInjector, FaultPlan, FaultRule, RetryPolicy
 from repro.nn import SequenceClassifier, bert_config, \
     make_classification_dataset
-from repro.runtime import (BaselineOffloadEngine, HostOffloadEngine,
+from repro.runtime import (BaselineOffloadEngine,
                            SmartInfinityEngine, TrainingConfig,
                            load_checkpoint, save_checkpoint)
 from repro.storage.blockdev import FileBlockDevice
@@ -344,23 +344,6 @@ def test_create_engine_matches_direct_construction(tmp_path, dataset):
 
     assert factory_losses == direct_losses
     np.testing.assert_array_equal(factory_params, direct_params)
-
-
-def test_removed_ctor_kwargs_raise_with_migration_hint(tmp_path):
-    """The PR-3 deprecation shims completed their cycle: the old
-    fleet-geometry kwargs are hard errors naming the create_engine
-    equivalent."""
-    with pytest.raises(TrainingError, match="create_engine..smart"):
-        SmartInfinityEngine(make_model(), loss_fn,
-                            str(tmp_path / "legacy"),
-                            num_csds=3, config=config())
-    with pytest.raises(TrainingError, match="raid_members=2"):
-        BaselineOffloadEngine(make_model(), loss_fn,
-                              str(tmp_path / "legacy-b"),
-                              num_ssds=2, config=config())
-    with pytest.raises(TrainingError, match="host_offload"):
-        HostOffloadEngine(make_model(), loss_fn,
-                          host_memory_bytes=1 << 30)
 
 
 def test_create_engine_builds_every_mode(tmp_path):

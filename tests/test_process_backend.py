@@ -212,7 +212,12 @@ class TestResolveBackend:
     {},
     {"compression_ratio": 0.05},
     {"compression_ratio": 0.05, "quantized_upstream": True},
-], ids=["dense", "smartcomp", "smartcomp+quant"])
+    {"use_transfer_handler": False},
+    {"pruning_sparsity": 0.5},
+    {"compression_ratio": 0.05, "pruning_sparsity": 0.5,
+     "quantized_upstream": True},
+], ids=["dense", "smartcomp", "smartcomp+quant", "naive", "pruned",
+        "smartcomp+pruned+quant"])
 def test_process_backend_bitwise_identical(tmp_path, config_kwargs):
     thread_params, _, thread_traffic = train_smart(
         tmp_path, "thread", "thread", **config_kwargs)
@@ -222,22 +227,30 @@ def test_process_backend_bitwise_identical(tmp_path, config_kwargs):
     assert thread_traffic == proc_traffic
 
 
-def test_process_backend_chaos_dropout_parity(tmp_path):
+@pytest.mark.parametrize("config_kwargs", [
+    {},
+    {"use_transfer_handler": False},
+    {"pruning_sparsity": 0.5},
+], ids=["handler", "naive", "pruned"])
+def test_process_backend_chaos_dropout_parity(tmp_path, config_kwargs):
     """A dead CSD demotes to the host path identically in both backends.
 
     The dropout fires in a worker process, whose shard is salvaged over
     shared memory into the parent's host path; parameters, fault
     accounting (injections, retries, demotions, degraded steps) and
-    traffic must all match the thread run exactly.
+    traffic must all match the thread run exactly — on the handler's and
+    the naive pass's commit logs, and through the pruned upstream sink.
     """
     plan = FaultPlan(seed=3, rules=(
         FaultRule(kind="device_dropout", device=1, probability=0.10),
         FaultRule(kind="io_error", probability=0.05),
     ))
     thread_params, thread_faults, thread_traffic = train_smart(
-        tmp_path, "thread", "thread", steps=4, fault_plan=plan)
+        tmp_path, "thread", "thread", steps=4, fault_plan=plan,
+        **config_kwargs)
     proc_params, proc_faults, proc_traffic = train_smart(
-        tmp_path, "process", "process", steps=4, fault_plan=plan)
+        tmp_path, "process", "process", steps=4, fault_plan=plan,
+        **config_kwargs)
     assert thread_faults["demotions"] == 1  # the plan actually fired
     np.testing.assert_array_equal(thread_params, proc_params)
     assert thread_traffic == proc_traffic
@@ -279,6 +292,31 @@ def test_checkpoint_round_trip_across_backends(tmp_path):
             engine.train_step(tokens, labels)
         straight = engine.space.gather_params().copy()
     np.testing.assert_array_equal(resumed, straight)
+
+
+@pytest.mark.parametrize("mode", ["host_offload", "smart"])
+def test_failed_process_pool_start_releases_everything(tmp_path,
+                                                       monkeypatch, mode):
+    """An engine whose worker processes cannot start leaks nothing: no
+    shared-memory segment outlives it and the flight recorder it
+    installed is uninstalled again."""
+    from repro.telemetry import flight
+
+    def shm_segments():
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith("psm_")}
+
+    monkeypatch.setenv("REPRO_MP_START", "bogus")
+    before = shm_segments()
+    recorder = flight.active_recorder()
+    config = TrainingConfig(
+        optimizer="adam", subgroup_elements=2048, num_csds=2,
+        parallel_csds=2, parallel_backend="process")
+    with pytest.raises(ValueError):
+        create_engine(mode, make_model(), loss_fn, str(tmp_path / mode),
+                      config=config)
+    assert shm_segments() - before == set()
+    assert flight.active_recorder() is recorder
 
 
 def test_host_offload_process_matches_thread():

@@ -293,3 +293,32 @@ def test_traffic_invariant_to_subgroup_size(tmp_path, dataset):
                         result.traffic.internal_total)
         engine.close()
     assert len(set(totals.values())) == 1
+
+
+@pytest.mark.parametrize("mode,backend", [
+    ("smart", "thread"), ("smart", "process"),
+    ("host_offload", "thread"), ("baseline", "thread"),
+])
+def test_closed_engine_is_freed_without_the_cyclic_collector(
+        tmp_path, dataset, mode, backend):
+    """No reference cycle runs through an engine: dropping the last
+    handle frees its model, flat buffers and devices at once, instead of
+    keeping them alive (and resident) until the cyclic collector runs."""
+    import gc
+    import weakref
+
+    from repro.api import create_engine
+
+    engine = create_engine(
+        mode, make_model(), loss_fn, str(tmp_path / mode),
+        config=config(num_csds=2, parallel_csds=2,
+                      parallel_backend=backend, pruning_sparsity=0.5))
+    engine.train_step(dataset.train_tokens[:4], dataset.train_labels[:4])
+    engine.close()
+    ref = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
