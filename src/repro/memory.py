@@ -21,6 +21,10 @@ Design:
   :func:`aggregate_arena_stats` view that survives arena death, which the
   steady-state tests and ``repro bench`` read.
 
+What the arenas do not hold (activations and backward temporaries) is
+kept resident between steps by :func:`retain_heap`, which fixes the C
+allocator's mmap and trim thresholds once per process.
+
 Telemetry (when a session is active): the ``arena_bytes_in_use`` /
 ``arena_high_water_bytes`` gauges and ``arena_checkouts_total`` /
 ``arena_alloc_total`` counters, labelled by arena name.
@@ -29,10 +33,11 @@ Telemetry (when a session is active): the ``arena_bytes_in_use`` /
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -438,6 +443,57 @@ def aggregate_arena_stats() -> ArenaStats:
         pooled_bytes=pooled)
 
 
+# ----------------------------------------------------------------------
+# heap residency
+# ----------------------------------------------------------------------
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Blocks below this come from the heap instead of a private mmap; it is
+#: glibc's own ceiling for its dynamic threshold on 64-bit hosts.
+HEAP_MMAP_THRESHOLD = 32 << 20
+#: Free bytes the heap may keep at its top before trimming them.
+HEAP_TRIM_THRESHOLD = 256 << 20
+
+_heap_lock = threading.Lock()
+_heap_retained: Optional[bool] = None
+
+
+def _set_heap_thresholds() -> bool:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    trim_ok = mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    return bool(mmap_ok and trim_ok)
+
+
+def retain_heap() -> bool:
+    """Keep a training step's transient memory resident between steps.
+
+    A step allocates its activations and backward temporaries and frees
+    them when it ends.  Under glibc's defaults the freed memory goes back
+    to the OS (large blocks are private mmaps; the heap top is trimmed),
+    so the next step faults every page in again.  This fixes glibc's
+    mmap and trim thresholds at :data:`HEAP_MMAP_THRESHOLD` and
+    :data:`HEAP_TRIM_THRESHOLD`.  Both are set: setting either one
+    switches off glibc's dynamic threshold, and one alone still lets
+    the step's pages go.
+
+    Applied once per process; later calls return the first result.
+    Returns whether the setting is in effect (False where the C library
+    has no working ``mallopt``).
+    """
+    global _heap_retained
+    with _heap_lock:
+        if _heap_retained is None:
+            _heap_retained = _set_heap_thresholds()
+        return _heap_retained
+
+
 __all__ = [
     "ArenaStats",
     "BufferArena",
@@ -446,6 +502,7 @@ __all__ = [
     "SharedMemoryArena",
     "SharedSegment",
     "aggregate_arena_stats",
+    "retain_heap",
     "size_class",
     "thread_arena",
 ]

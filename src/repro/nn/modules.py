@@ -13,15 +13,35 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor."""
+    """A trainable leaf tensor.
+
+    ``grad_slot`` is ``None`` or a float32 array of the parameter's shape
+    that gradients accumulate into (``FlatParameterSpace`` binds it to a
+    view of one flat gradient buffer).  The first accumulation after
+    ``zero_grad`` copies into the slot and binds ``grad`` to it; later
+    ones add in place, so a step builds no per-parameter gradient copy.
+    """
+
+    __slots__ = ("grad_slot",)
 
     def __init__(self, data: np.ndarray, name: str = "") -> None:
         super().__init__(np.asarray(data, dtype=np.float32),
                          requires_grad=True, name=name)
+        self.grad_slot: Optional[np.ndarray] = None
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad_slot is None or self.grad is not None:
+            super()._accumulate(grad)
+            return
+        grad = np.asarray(grad, dtype=np.float32)
+        if grad.shape != self.data.shape:
+            grad = _unbroadcast(grad, self.data.shape)
+        np.copyto(self.grad_slot, grad)
+        self.grad = self.grad_slot
 
 
 class Module:

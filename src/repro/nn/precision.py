@@ -93,24 +93,64 @@ def from_fp16(array: np.ndarray) -> np.ndarray:
     return np.asarray(array, dtype=np.float16).astype(np.float32)
 
 
+#: Elements per pass of the gradient scan (:func:`has_overflow`,
+#: :func:`global_grad_norm`); bounds the scan's scratch memory.
+_SCAN_CHUNK = 1 << 16
+
+
 def has_overflow(arrays: Iterable[np.ndarray]) -> bool:
     """True when any gradient array contains NaN or +-Inf.
 
     This is the pre-update scan mixed-precision training requires; in the
     paper it is one of the constraints that forces gradients to be fully
-    materialized before the update step starts.
+    materialized before the update step starts.  The scan runs chunk by
+    chunk into one chunk-sized flag buffer, so it allocates no
+    model-sized mask.
     """
+    flags = np.empty(_SCAN_CHUNK, dtype=bool)
     for array in arrays:
-        if not np.all(np.isfinite(array)):
-            return True
+        values = np.ravel(array)
+        for lo in range(0, values.size, _SCAN_CHUNK):
+            flag = flags[:min(_SCAN_CHUNK, values.size - lo)]
+            if not np.isfinite(values[lo:lo + flag.size], out=flag).all():
+                return True
     return False
 
 
+def _sum_of_squares(values: np.ndarray, scratch: np.ndarray) -> np.float64:
+    """float64 sum of squares of a 1-D array, bit-equal to
+    ``np.square(values, dtype=np.float64).sum()``.
+
+    numpy sums a contiguous vector pairwise: above 128 elements it splits
+    ``n`` at ``n // 2`` rounded down to a multiple of 8 and adds the two
+    halves' sums.  Applying the same splits here down to pieces of one
+    scan chunk, and letting numpy sum each piece, reproduces that tree
+    exactly with a chunk-sized float64 scratch instead of a model-sized
+    one.
+    """
+    n = values.size
+    if n <= _SCAN_CHUNK:
+        leaf = scratch[:n]
+        np.copyto(leaf, values)
+        np.square(leaf, out=leaf)
+        return leaf.sum()
+    half = n // 2
+    half -= half % 8
+    return (_sum_of_squares(values[:half], scratch)
+            + _sum_of_squares(values[half:], scratch))
+
+
 def global_grad_norm(arrays: Iterable[np.ndarray]) -> float:
-    """L2 norm over the concatenation of all gradient arrays."""
+    """L2 norm over the concatenation of all gradient arrays.
+
+    Each array's sum of squares is accumulated in float64 exactly as
+    ``np.square(array, dtype=np.float64).sum()`` would, without
+    building that model-sized float64 temporary.
+    """
     total = 0.0
+    scratch = np.empty(_SCAN_CHUNK, dtype=np.float64)
     for array in arrays:
-        total += float(np.square(array, dtype=np.float64).sum())
+        total += float(_sum_of_squares(np.ravel(array), scratch))
     return float(np.sqrt(total))
 
 

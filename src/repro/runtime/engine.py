@@ -30,7 +30,7 @@ import numpy as np
 from .. import telemetry
 from ..errors import TrainingError
 from ..faults import FaultInjector, FaultPlan
-from ..memory import ArenaStats, aggregate_arena_stats
+from ..memory import ArenaStats, aggregate_arena_stats, retain_heap
 from ..telemetry import flight
 from ..telemetry.flight import FlightRecorder, IncidentDumper
 from ..telemetry.health import (Alert, DEFAULT_SLO_RULES, RulesEngine,
@@ -240,6 +240,10 @@ class MixedPrecisionTrainer:
 
     def __init__(self, model: Module, loss_fn: LossFn,
                  config: TrainingConfig) -> None:
+        # The step's activations and gradient scratch stay in the heap
+        # between steps instead of being returned to the OS and faulted
+        # back in (docs/PERFORMANCE.md §7).
+        retain_heap()
         self.model = model
         self.loss_fn = loss_fn
         self.config = config
@@ -508,6 +512,9 @@ class MixedPrecisionTrainer:
         Returns ``(loss, flat_unscaled_grads, grad_norm, overflow)``; on
         overflow the gradients are unusable and the step must be skipped.
         Clipping is applied in place when no overflow occurred.
+        ``flat_unscaled_grads`` is the space's flat gradient buffer
+        (:attr:`FlatParameterSpace.grads`), not a copy: it is valid only
+        until the next forward/backward call overwrites it.
         """
         self.model.zero_grad()
         with self._activation_scope():
@@ -531,7 +538,9 @@ class MixedPrecisionTrainer:
 
         Runs forward/backward per micro-batch, averages the unscaled
         gradients, then applies the NaN/Inf scan and clipping once on the
-        combined gradient — matching large-batch semantics.
+        combined gradient — matching large-batch semantics.  The
+        combined vector is a fresh array; each micro-batch's backward
+        overwrites the flat gradient buffer it is summed from.
         """
         if not batches:
             raise TrainingError("need at least one micro-batch")
@@ -549,7 +558,10 @@ class MixedPrecisionTrainer:
                     flat *= np.float32(1.0 / self.scaler.scale)
             total_loss += float(loss.item())
             overflow = overflow or has_overflow([flat])
-            combined = flat if combined is None else combined + flat
+            if combined is None:
+                combined = flat.copy()
+            else:
+                combined += flat
         combined *= np.float32(1.0 / len(batches))
         norm = 0.0
         if not overflow:

@@ -44,17 +44,31 @@ class FlatParameterSpace:
     ``data`` is a reshaped view of its slot, so writing a flat range
     updates the module in place.  Construction is the only place that
     re-binds ``param.data``; a later re-binding would silently detach
-    the module from the buffer the engines install into.  Concurrent per-CSD update workers
-    install into *disjoint* flat ranges of :attr:`flat` and never re-bind
-    ``param.data``, so they need no lock.  Reads (``gather_*``) happen
-    only between fan-outs, on the coordinating thread.
+    the module from the buffer the engines install into.  Concurrent
+    per-CSD update workers install into *disjoint* flat ranges of
+    :attr:`flat` and never re-bind ``param.data``, so they need no lock.
+    Reads (``gather_*``) happen only between fan-outs, on the
+    coordinating thread.
+
+    Gradients get the same layout in :attr:`grads`: construction binds
+    each parameter's ``grad_slot`` to a view of its slot, so backward
+    accumulates straight into the flat gradient vector.  A parameter
+    object may appear under only one name; a second name would give it
+    a second slot and detach it from the first.
     """
 
     def __init__(self, module: Module) -> None:
         self.module = module
         self.slots: List[ParamSlot] = []
+        seen: Dict[int, str] = {}
         offset = 0
         for name, param in module.named_parameters():
+            if id(param) in seen:
+                raise PartitionError(
+                    f"parameter {name!r} is the same object as "
+                    f"{seen[id(param)]!r}; a parameter reachable under "
+                    "two names would get two slots and detach from one")
+            seen[id(param)] = name
             slot = ParamSlot(name=name, offset=offset, size=param.size,
                              shape=param.data.shape)
             self.slots.append(slot)
@@ -65,11 +79,16 @@ class FlatParameterSpace:
         self._by_name: Dict[str, ParamSlot] = {
             slot.name: slot for slot in self.slots}
         self.flat = np.empty(offset, dtype=np.float32)
+        self.grads = np.zeros(offset, dtype=np.float32)
+        self._grad_views: List[np.ndarray] = []
         for slot, (_name, param) in zip(self.slots,
                                         module.named_parameters()):
             view = self.flat[slot.offset:slot.end].reshape(slot.shape)
             np.copyto(view, param.data)
             param.data = view
+            grad_view = self.grads[slot.offset:slot.end].reshape(slot.shape)
+            param.grad_slot = grad_view
+            self._grad_views.append(grad_view)
 
     def slot(self, name: str) -> ParamSlot:
         try:
@@ -95,13 +114,21 @@ class FlatParameterSpace:
 
     def gather_grads(self) -> np.ndarray:
         """Accumulated gradients as one flat float32 vector (zeros where a
-        parameter received no gradient)."""
-        flat = np.zeros(self.total_elements, dtype=np.float32)
-        for slot, (_name, param) in zip(self.slots,
+        parameter received no gradient).
+
+        Returns :attr:`grads` itself, not a copy: backward accumulates
+        straight into its slots, so only a parameter without a gradient
+        (zeroed, so last step's values cannot leak into this one) or
+        with a ``grad`` bound elsewhere (copied in) costs any work.  The
+        vector is overwritten by the next backward pass.
+        """
+        for view, (_name, param) in zip(self._grad_views,
                                         self.module.named_parameters()):
-            if param.grad is not None:
-                flat[slot.offset:slot.end] = param.grad.reshape(-1)
-        return flat
+            if param.grad is None:
+                view.fill(0.0)
+            elif param.grad is not view:
+                np.copyto(view, param.grad.reshape(view.shape))
+        return self.grads
 
     def install_fp16_params(self, masters: np.ndarray) -> None:
         """Install the FP16 working copy derived from FP32 masters.

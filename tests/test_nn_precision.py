@@ -1,13 +1,15 @@
 """Tests for mixed-precision utilities: scaler, overflow scan, clipping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TrainingError
-from repro.nn.precision import (LossScaler, clip_gradients, from_fp16,
-                                global_grad_norm, has_overflow,
+from repro.nn.precision import (_SCAN_CHUNK, LossScaler, clip_gradients,
+                                from_fp16, global_grad_norm, has_overflow,
                                 round_to_fp16, to_fp16)
 
 
@@ -111,6 +113,76 @@ def test_global_grad_norm_matches_concatenation():
     a = np.array([3.0], dtype=np.float32)
     b = np.array([4.0], dtype=np.float32)
     assert global_grad_norm([a, b]) == pytest.approx(5.0)
+
+
+# ----------------------------------------------------------------------
+# the allocation-free gradient scan
+# ----------------------------------------------------------------------
+#: One below, at and above the scan chunk and numpy's 8-element unroll,
+#: plus the 1.28M-parameter benchmark model's size.
+NORM_SIZES = (1, 8, 65535, 65536, 65537, 131080, 1281538)
+
+
+def reference_norm(arrays):
+    total = 0.0
+    for array in arrays:
+        total += float(np.square(array, dtype=np.float64).sum())
+    return float(np.sqrt(total))
+
+
+def wide_range_values(size, seed):
+    # Magnitudes over ~7 decades make float64 rounding depend on the
+    # summation order, so a wrong split shows in a few seeds.
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(size)
+            * np.exp(rng.uniform(-8.0, 8.0, size))).astype(np.float32)
+
+
+@pytest.mark.parametrize("size", NORM_SIZES)
+def test_global_grad_norm_is_bit_equal_to_the_float64_reference(size):
+    for seed in range(8):
+        values = wide_range_values(size, seed)
+        assert global_grad_norm([values]) == reference_norm([values]), seed
+    block = values[:size - size % 4].reshape(-1, 4) if size >= 4 else values
+    assert global_grad_norm([block]) == reference_norm([block])
+
+
+def test_global_grad_norm_multi_array_is_bit_equal_to_the_reference():
+    arrays = [wide_range_values(size, seed)
+              for seed, size in enumerate(NORM_SIZES)]
+    assert global_grad_norm(arrays) == reference_norm(arrays)
+    assert global_grad_norm(arrays[::-1]) == reference_norm(arrays[::-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_has_overflow_finds_bad_values_at_every_chunk_edge(bad):
+    size = 3 * _SCAN_CHUNK + 5
+    values = np.ones(size, dtype=np.float32)
+    edges = sorted({edge for lo in range(0, size, _SCAN_CHUNK)
+                    for edge in (lo, min(lo + _SCAN_CHUNK, size) - 1)})
+    assert not has_overflow([values])
+    for index in edges:
+        values[index] = bad
+        assert has_overflow([values]), index
+        assert has_overflow([np.ones(3), values.reshape(-1, 1)]), index
+        values[index] = 1.0
+    assert not has_overflow([values, np.ones(3, dtype=np.float32)])
+
+
+def test_scan_and_clip_allocate_at_most_a_chunk_of_scratch():
+    grads = np.random.default_rng(0).standard_normal(1 << 20).astype(
+        np.float32)
+    tracemalloc.start()
+    try:
+        assert not has_overflow([grads])
+        norm = clip_gradients([grads], max_norm=1.0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norm > 1.0
+    # Two chunks of float64 scratch: far below the 8 MB float64 squares
+    # (or the 1 MB bool mask) a whole-array scan would build.
+    assert peak < 2 * _SCAN_CHUNK * 8, peak
 
 
 def test_scaler_halves_on_overflow_and_skips():

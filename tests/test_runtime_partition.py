@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.nn import SequenceClassifier, bert_config
-from repro.nn.modules import Linear, Module
+from repro.nn.modules import Linear, Module, Parameter
 from repro.runtime import FlatParameterSpace, distribute_shards
 
 
@@ -88,6 +88,17 @@ def test_slot_lookup_unknown():
     space = FlatParameterSpace(tiny_model())
     with pytest.raises(PartitionError):
         space.slot("nope")
+
+
+def test_parameter_under_two_names_is_rejected():
+    # A second slot would re-bind param.data to it, detaching the
+    # module from the first: installing [2, 2, 2] into slot "a" would
+    # leave the module reading [1, 1, 1].
+    module = Module()
+    module.a = Parameter(np.ones(3))
+    module.b = module.a
+    with pytest.raises(PartitionError, match=r"'b'.*'a'"):
+        FlatParameterSpace(module)
 
 
 def test_install_fp16_quantizes():
