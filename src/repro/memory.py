@@ -23,7 +23,7 @@ Design:
 
 What the arenas do not hold (activations and backward temporaries) is
 kept resident between steps by :func:`retain_heap`, which fixes the C
-allocator's mmap and trim thresholds once per process.
+allocator's mmap and trim thresholds.
 
 Telemetry (when a session is active): the ``arena_bytes_in_use`` /
 ``arena_high_water_bytes`` gauges and ``arena_checkouts_total`` /
@@ -37,7 +37,7 @@ import ctypes
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -451,24 +451,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 #: Blocks below this come from the heap instead of a private mmap; it is
 #: glibc's own ceiling for its dynamic threshold on 64-bit hosts.
-HEAP_MMAP_THRESHOLD = 32 << 20
+_HEAP_MMAP_THRESHOLD = 32 << 20
 #: Free bytes the heap may keep at its top before trimming them.
-HEAP_TRIM_THRESHOLD = 256 << 20
-
-_heap_lock = threading.Lock()
-_heap_retained: Optional[bool] = None
-
-
-def _set_heap_thresholds() -> bool:
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mmap_ok = mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
-    trim_ok = mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
-    return bool(mmap_ok and trim_ok)
+_HEAP_TRIM_THRESHOLD = 256 << 20
 
 
 def retain_heap() -> bool:
@@ -478,20 +463,25 @@ def retain_heap() -> bool:
     them when it ends.  Under glibc's defaults the freed memory goes back
     to the OS (large blocks are private mmaps; the heap top is trimmed),
     so the next step faults every page in again.  This fixes glibc's
-    mmap and trim thresholds at :data:`HEAP_MMAP_THRESHOLD` and
-    :data:`HEAP_TRIM_THRESHOLD`.  Both are set: setting either one
-    switches off glibc's dynamic threshold, and one alone still lets
-    the step's pages go.
+    mmap threshold at 32 MiB and its trim threshold at 256 MiB.  Both
+    are set: setting either one switches off glibc's dynamic threshold,
+    and one alone still lets the step's pages go.  The trim threshold
+    is set only once the mmap threshold was accepted, so a C library
+    that caps the mmap threshold lower is left as it was.
 
-    Applied once per process; later calls return the first result.
-    Returns whether the setting is in effect (False where the C library
-    has no working ``mallopt``).
+    Fixed values make repeated calls harmless.  Returns whether the
+    setting is in effect (False where the C library has no working
+    ``mallopt``).
     """
-    global _heap_retained
-    with _heap_lock:
-        if _heap_retained is None:
-            _heap_retained = _set_heap_thresholds()
-        return _heap_retained
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if not mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD):
+        return False
+    return bool(mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD))
 
 
 __all__ = [

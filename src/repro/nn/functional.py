@@ -105,19 +105,9 @@ def embedding(indices: np.ndarray, table: Tensor) -> Tensor:
     result = table.data[indices]
 
     def backward(grad: np.ndarray) -> None:
-        rows = grad.reshape(-1, table.data.shape[-1])
-        slot = getattr(table, "grad_slot", None)
-        if table.grad is None and slot is not None:
-            # First use this step: scatter straight into the gradient
-            # slot instead of a table-sized temporary.
-            slot.fill(0.0)
-            np.add.at(slot, indices.reshape(-1), rows)
-            table.grad = slot
-            return
-        # A later use keeps the temporary, so the summation order (and
-        # the result) matches a single accumulation of the full table.
         full = np.zeros(table.data.shape, dtype=np.float32)
-        np.add.at(full, indices.reshape(-1), rows)
+        np.add.at(full, indices.reshape(-1),
+                  grad.reshape(-1, table.data.shape[-1]))
         table._accumulate(full)
 
     return table._make(result, (table,), backward)

@@ -127,6 +127,13 @@ def _sum_of_squares(values: np.ndarray, scratch: np.ndarray) -> np.float64:
     scan chunk, and letting numpy sum each piece, reproduces that tree
     exactly with a chunk-sized float64 scratch instead of a model-sized
     one.
+
+    The split rule is numpy's internal pairwise summation, not a
+    documented API.  It was checked bit for bit on numpy 2.4.6 (sizes
+    0-299 and 48 larger sizes up to 3,000,017); the tier-1 tests in
+    ``tests/test_nn_precision.py`` re-check it against the numpy in
+    use, and CI prints that numpy's version, so a mismatch there points
+    at a numpy change in its reduction.
     """
     n = values.size
     if n <= _SCAN_CHUNK:

@@ -12,7 +12,6 @@ import resource
 import numpy as np
 import pytest
 
-from repro import memory
 from repro.api import create_engine
 from repro.memory import retain_heap
 from repro.nn import SequenceClassifier, bert_config
@@ -63,14 +62,3 @@ def test_warm_steps_take_no_fresh_pages(tmp_path, shape):
             engine.train_step(tokens, labels)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults <= MAX_FAULTS_PER_STEP * MEASURED_STEPS, faults
-
-
-def test_retain_heap_applies_once(monkeypatch):
-    assert retain_heap()
-
-    def fail():
-        raise AssertionError("retain_heap re-applied the thresholds")
-
-    monkeypatch.setattr(memory, "_set_heap_thresholds", fail)
-    assert retain_heap()
-    assert retain_heap()
